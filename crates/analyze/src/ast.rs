@@ -9,27 +9,36 @@
 //! by brace matching over [`crate::lexer::scrub`]bed text, where
 //! braces inside strings and comments no longer exist.
 
-use crate::lexer::{line_of, scrub};
+use crate::lexer::{line_of, prev_is_ident, scrub};
 use std::ops::Range;
 
-/// One `fn` item: its name, the 1-based line of its `fn` keyword, and
-/// the byte range of its body (between, not including, its braces).
+/// One `fn` item: its name, where its `fn` keyword sits, and the byte
+/// range of its body (between, not including, its braces).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnItem {
     /// The function's identifier.
     pub name: String,
+    /// Byte offset of the `fn` keyword (what precedes it in the code
+    /// is the item's visibility).
+    pub start: usize,
     /// 1-based source line of the `fn` keyword.
     pub line: usize,
     /// Byte range of the body in the scrubbed text.
     pub body: Range<usize>,
 }
 
-/// One parsed source file: scrubbed text with test regions blanked,
-/// plus its `fn` items in source order.
+/// One parsed source file: the original text, the scrubbed text with
+/// test regions blanked, and its `fn` items in source order.
+///
+/// `code` is byte-aligned with `source`: a range located in the code
+/// (say, a `const` initializer) reads the literals it holds from the
+/// same range of the source.
 #[derive(Debug, Clone)]
 pub struct FileAst {
     /// Repo-relative, slash-separated path.
     pub path: String,
+    /// The file as read, comments, literals and tests included.
+    pub source: String,
     /// Scrubbed source with `#[cfg(test)]` regions blanked: every rule
     /// scan and call-edge walk runs over this text.
     pub code: String,
@@ -46,6 +55,7 @@ impl FileAst {
         let fns = find_fns(&code);
         FileAst {
             path: path.to_owned(),
+            source: source.to_owned(),
             code,
             fns,
         }
@@ -77,11 +87,11 @@ fn blank_test_regions(code: &mut String) {
             Some(end) => end,
             None => code.len(),
         };
-        // SAFETY of the replace: both texts are pure ASCII in the
-        // replaced span (scrubbed structural characters).
+        // One space per byte keeps the code byte-aligned with the
+        // source even where the blanked span holds non-ASCII text.
         let blanked: String = code[start..end]
-            .chars()
-            .map(|c| if c == '\n' { '\n' } else { ' ' })
+            .bytes()
+            .map(|b| if b == b'\n' { '\n' } else { ' ' })
             .collect();
         code.replace_range(start..end, &blanked);
         from = end;
@@ -125,15 +135,6 @@ fn matching_brace(code: &str, open: usize) -> Option<usize> {
     None
 }
 
-/// Whether the byte before `idx` could continue an identifier (used to
-/// require word boundaries around keywords).
-fn boundary_before(code: &str, idx: usize) -> bool {
-    idx == 0 || {
-        let b = code.as_bytes()[idx - 1];
-        !(b.is_ascii_alphanumeric() || b == b'_')
-    }
-}
-
 /// Every `fn NAME` item with a body, in source order. Trait-method
 /// declarations (`fn f();`) are skipped.
 fn find_fns(code: &str) -> Vec<FnItem> {
@@ -142,7 +143,7 @@ fn find_fns(code: &str) -> Vec<FnItem> {
     while let Some(rel) = code[from..].find("fn ") {
         let at = from + rel;
         from = at + 3;
-        if !boundary_before(code, at) {
+        if prev_is_ident(code.as_bytes(), at) {
             continue;
         }
         let name: String = code[at + 3..]
@@ -167,6 +168,7 @@ fn find_fns(code: &str) -> Vec<FnItem> {
         };
         fns.push(FnItem {
             name,
+            start: at,
             line: line_of(code, at),
             body: open + 1..end - 1,
         });
@@ -234,6 +236,15 @@ mod tests {
         let ast = FileAst::parse("a.rs", src);
         assert_eq!(ast.fns.len(), 2);
         assert!(ast.code[ast.fns[0].body.clone()].contains("tail();"));
+    }
+
+    #[test]
+    fn code_stays_byte_aligned_with_source() {
+        let src = "fn live() {}\n#[cfg(test)]\nfn t() { let µ = 1; }\nfn after() { x(); }\n";
+        let ast = FileAst::parse("a.rs", src);
+        assert_eq!(ast.code.len(), ast.source.len());
+        let at = ast.fns[1].start;
+        assert_eq!(&ast.source[at..at + 8], "fn after");
     }
 
     #[test]

@@ -169,7 +169,7 @@ fn raw_string_end(bytes: &[u8], from: usize, hashes: usize) -> usize {
 }
 
 /// Whether the byte before `i` continues an identifier.
-fn prev_is_ident(bytes: &[u8], i: usize) -> bool {
+pub(crate) fn prev_is_ident(bytes: &[u8], i: usize) -> bool {
     i > 0 && (bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_')
 }
 

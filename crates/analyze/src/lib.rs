@@ -18,8 +18,10 @@
 //! - [`rules`]: the six-determinism-rule catalog;
 //! - [`suppress`]: the committed suppression file, where stale
 //!   entries are themselves errors;
-//! - [`workspace`]: file walking and [`workspace::analyze_workspace`],
-//!   the entry point `cargo run -p xtask -- analyze` uses.
+//! - [`workspace`]: [`workspace::parse_trees`], the one walker both
+//!   repo gates read Rust through, and
+//!   [`workspace::analyze_workspace`], the entry point
+//!   `cargo run -p xtask -- analyze` uses.
 //!
 //! The analyzer is dependency-free by construction (no `syn`): like
 //! the `compat/` stand-ins, it must build in the sealed offline

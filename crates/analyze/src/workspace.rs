@@ -1,12 +1,15 @@
 //! Workspace traversal and the end-to-end analysis entry point.
 //!
-//! [`analyze_workspace`] is what `cargo run -p xtask -- analyze`
-//! calls: collect every non-test `.rs` file under `crates/` and
-//! `compat/`, parse, classify, run the rule catalog, then apply the
-//! committed suppression file. Tests under `tests/` directories are
-//! excluded wholesale (the determinism contract binds shipped code;
-//! `#[cfg(test)]` blanking already covers inline tests), as are
-//! `target/` build outputs.
+//! [`parse_trees`] is the workspace's one Rust front end: it walks the
+//! given source trees in sorted order and parses every `.rs` file into
+//! a [`FileAst`]. [`analyze_workspace`] is what `cargo run -p xtask --
+//! analyze` calls: parse every non-test file under `crates/` and
+//! `compat/`, classify, run the rule catalog, then apply the committed
+//! suppression file. `cargo run -p xtask -- lint` reads its sources
+//! through the same walker. Directories named `tests/` or `benches/`
+//! are not descended into (the determinism contract binds shipped
+//! code; `#[cfg(test)]` blanking already covers inline tests), nor is
+//! `target/`; a caller that wants a test tree names it as a tree.
 
 use crate::ast::FileAst;
 use crate::classify::output_path;
@@ -21,23 +24,35 @@ use std::path::{Path, PathBuf};
 pub const SUPPRESSION_FILE: &str = "analyze-suppressions.txt";
 
 /// Source trees the analyzer walks, relative to the workspace root.
-const SOURCE_ROOTS: &[&str] = &["crates", "compat"];
+pub const SOURCE_ROOTS: &[&str] = &["crates", "compat"];
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", "tests", "benches"];
 
-/// Collects every analyzable `.rs` path under the workspace root, in
-/// sorted (deterministic) order, as repo-relative slash paths.
-pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut out = Vec::new();
-    for tree in SOURCE_ROOTS {
-        let dir = root.join(tree);
+/// Reads and parses every `.rs` file under the `trees` (relative to
+/// `root`; missing trees are skipped), in sorted (deterministic) path
+/// order, with repo-relative slash paths.
+///
+/// # Errors
+///
+/// Returns the first I/O failure walking or reading a file.
+pub fn parse_trees(root: &Path, trees: &[&str]) -> io::Result<Vec<FileAst>> {
+    let mut paths = Vec::new();
+    for dir in trees.iter().map(|tree| root.join(tree)) {
         if dir.is_dir() {
-            collect_rs(&dir, &mut out)?;
+            collect_rs(&dir, &mut paths)?;
         }
     }
-    out.sort();
-    Ok(out)
+    paths.sort();
+    paths
+        .iter()
+        .map(|path| {
+            Ok(FileAst::parse(
+                &relative(root, path),
+                &fs::read_to_string(path)?,
+            ))
+        })
+        .collect()
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -84,12 +99,7 @@ pub fn load_suppressions(root: &Path) -> Result<Vec<Suppression>, Vec<SuppressEr
 /// rule findings and suppression problems are reported inside the
 /// [`Analysis`], not as errors.
 pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
-    let paths = workspace_files(root)?;
-    let mut files = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let source = fs::read_to_string(path)?;
-        files.push(FileAst::parse(&relative(root, path), &source));
-    }
+    let files = parse_trees(root, SOURCE_ROOTS)?;
     let (suppressions, mut file_errors) = match load_suppressions(root) {
         Ok(s) => (s, Vec::new()),
         Err(e) => (Vec::new(), e),
@@ -137,14 +147,13 @@ mod tests {
 
     #[test]
     fn walker_finds_this_file_and_skips_tests_dirs() {
-        let root = repo_root();
-        let files = workspace_files(&root).unwrap();
-        let rels: Vec<String> = files.iter().map(|p| relative(&root, p)).collect();
-        assert!(rels.iter().any(|p| p == "crates/analyze/src/workspace.rs"));
+        let files = parse_trees(&repo_root(), SOURCE_ROOTS).unwrap();
+        let rels: Vec<&str> = files.iter().map(|f| f.path.as_str()).collect();
+        assert!(rels.contains(&"crates/analyze/src/workspace.rs"));
         assert!(rels.iter().all(|p| !p.contains("/tests/")));
         assert!(rels.iter().all(|p| !p.contains("/target/")));
         let mut sorted = rels.clone();
-        sorted.sort();
+        sorted.sort_unstable();
         assert_eq!(rels, sorted, "walk order is deterministic");
     }
 

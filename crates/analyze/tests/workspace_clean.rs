@@ -95,18 +95,9 @@ fn stale_suppressions_are_detected_against_the_real_corpus() {
     let with_extra = format!("{body}\nunseeded_rng crates/sim/src/lib.rs bogus reason\n");
     let sups = maeri_analyze::suppress::parse(&with_extra).expect("file parses");
 
-    let paths = maeri_analyze::workspace::workspace_files(&root).expect("walk");
-    let files: Vec<maeri_analyze::FileAst> = paths
-        .iter()
-        .map(|p| {
-            let rel = p
-                .strip_prefix(&root)
-                .expect("under root")
-                .to_string_lossy()
-                .replace('\\', "/");
-            maeri_analyze::FileAst::parse(&rel, &std::fs::read_to_string(p).expect("read"))
-        })
-        .collect();
+    let files =
+        maeri_analyze::workspace::parse_trees(&root, maeri_analyze::workspace::SOURCE_ROOTS)
+            .expect("walk");
     let flags = maeri_analyze::classify::output_path(&files);
     let findings = maeri_analyze::rules::run_all(&files, &flags);
     let (_, _, stale) = maeri_analyze::suppress::apply(findings, &sups);

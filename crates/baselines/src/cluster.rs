@@ -16,7 +16,6 @@ use maeri::engine::RunStats;
 use maeri_dnn::{ConvLayer, WeightMask};
 use maeri_sim::util::ceil_div;
 use maeri_sim::{Cycle, Result, SimError};
-use serde::{Deserialize, Serialize};
 
 /// A fixed-cluster accelerator.
 ///
@@ -33,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(run.utilization() <= 27.0 / 32.0 + 1e-9);
 /// # Ok::<(), maeri_sim::SimError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FixedClusterArray {
     clusters: usize,
     cluster_size: usize,

@@ -20,7 +20,6 @@ use maeri::engine::RunStats;
 use maeri_dnn::ConvLayer;
 use maeri_sim::util::ceil_div;
 use maeri_sim::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// An Eyeriss-style row-stationary accelerator.
 ///
@@ -36,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// // 3-row filters leave 2 of 8 PE rows idle: utilization < 75%.
 /// assert!(run.utilization() <= 0.75);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RowStationary {
     pe_rows: usize,
     pe_cols: usize,

@@ -18,7 +18,6 @@ use maeri::engine::RunStats;
 use maeri_dnn::{ConvLayer, FcLayer};
 use maeri_sim::util::ceil_div;
 use maeri_sim::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// A weight-stationary systolic array.
 ///
@@ -33,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// let run = sa.run_conv(&layer);
 /// assert_eq!(run.macs, layer.macs());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SystolicArray {
     rows: usize,
     cols: usize,

@@ -11,8 +11,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A Q7.8 fixed-point number: 1 sign bit, 7 integer bits, 8 fraction
 /// bits, saturating arithmetic (as hardware accumulators do).
 ///
@@ -26,9 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((a * b).to_f32(), -0.375);
 /// assert_eq!((a + b).to_f32(), 1.25);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Fixed16(i16);
 
 impl Fixed16 {

@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A 2-D convolution layer.
 ///
 /// Uses the paper's naming for the loop bounds: `K` output channels,
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.out_h(), 28);
 /// assert_eq!(c.filter_volume(), 3 * 3 * 256);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConvLayer {
     /// Human-readable layer name, e.g. `"alexnet_conv1"`.
     pub name: String,
@@ -170,7 +168,7 @@ impl fmt::Display for ConvLayer {
 /// let fc = FcLayer::new("alexnet_fc6", 9216, 4096);
 /// assert_eq!(fc.macs(), 9216 * 4096);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FcLayer {
     /// Layer name.
     pub name: String,
@@ -219,7 +217,7 @@ impl fmt::Display for FcLayer {
 /// let p = PoolLayer::new("pool1", 96, 55, 55, 3, 2);
 /// assert_eq!(p.out_h(), 27);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PoolLayer {
     /// Layer name.
     pub name: String,
@@ -312,7 +310,7 @@ impl fmt::Display for PoolLayer {
 /// // 4 gates, each over [x; h_prev]:
 /// assert_eq!(l.gate_macs(), 4 * (1280 + 800) as u64 * 800);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LstmLayer {
     /// Layer name.
     pub name: String,
@@ -367,7 +365,7 @@ impl fmt::Display for LstmLayer {
 }
 
 /// Any supported layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Layer {
     /// Convolution.

@@ -8,7 +8,6 @@
 //! generates seeded masks with an exact zero fraction per filter.
 
 use maeri_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::layer::ConvLayer;
 use crate::tensor::Tensor;
@@ -31,7 +30,7 @@ use crate::tensor::Tensor;
 ///     assert_eq!(n, 13);
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightMask {
     filter_volume: usize,
     keep: Vec<Vec<bool>>,

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use maeri_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A dense, row-major `f32` tensor of arbitrary rank.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.get(&[1, 2]), 5.0);
 /// assert_eq!(t.len(), 6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

@@ -9,8 +9,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::layer::{ConvLayer, FcLayer, Layer, LstmLayer, PoolLayer};
 
 /// A named list of layers.
@@ -25,7 +23,7 @@ use crate::layer::{ConvLayer, FcLayer, Layer, LstmLayer, PoolLayer};
 /// assert_eq!(vgg.count_kind("FC"), 3);
 /// assert_eq!(vgg.count_kind("POOL"), 5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     name: String,
     layers: Vec<Layer>,

@@ -7,10 +7,8 @@
 //! range; ReLU is exact, sigmoid/tanh approximate with a bounded error
 //! that the tests pin.
 
-use serde::{Deserialize, Serialize};
-
 /// Which activation function a unit implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ActivationKind {
     /// Identity (collection without transformation).
@@ -34,7 +32,7 @@ pub enum ActivationKind {
 /// let y = lut.apply(0.0);
 /// assert!((y - 0.5).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivationLut {
     kind: ActivationKind,
     table: Vec<f32>,

@@ -22,13 +22,12 @@
 use maeri_dnn::ConvLayer;
 use maeri_sim::util::ceil_div;
 use maeri_sim::Result;
-use serde::{Deserialize, Serialize};
 
 use crate::mapper::{ConvMapper, VnPolicy};
 use crate::MaeriConfig;
 
 /// Result of an analytic walk-through.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyticResult {
     /// Design label.
     pub design: String,

@@ -22,7 +22,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use maeri_noc::topology::NodeId;
 use maeri_noc::{BinaryTree, ChubbyTree};
 use maeri_sim::{Result, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultPlan;
 use crate::switch::AdderMode;
@@ -39,7 +38,7 @@ use crate::switch::AdderMode;
 /// assert!(vn.contains(13));
 /// assert!(!vn.contains(14));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VnRange {
     /// First leaf index.
     pub start: usize,
@@ -73,7 +72,7 @@ impl VnRange {
 }
 
 /// One step of a VN's reduction, replayable on values.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Op {
     /// Adder switch `node` combines the fragments currently held at
     /// `children` (its in-VN children) into one fragment at `node`.
@@ -87,7 +86,7 @@ enum Op {
 }
 
 /// An activated forwarding link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlActivation {
     /// Tree level of both endpoints.
     pub level: usize,
@@ -99,11 +98,13 @@ pub struct FlActivation {
     pub vn: usize,
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct NodeUse {
     /// Inputs consumed by this switch's adder (0, 2 or 3).
     addends: u8,
-    /// Values routed through without being added.
+    /// Values routed through without being added, saturating: only
+    /// 0, 1 and "two or more" matter to [`ArtConfig::adder_mode`], and
+    /// a root can pass one value per leaf.
     passes: u8,
     /// Whether the switch receives a lateral input.
     lateral_in: bool,
@@ -112,7 +113,7 @@ struct NodeUse {
 }
 
 /// A fully constructed ART configuration for one set of VNs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArtConfig {
     tree: BinaryTree,
     chubby: ChubbyTree,
@@ -256,7 +257,8 @@ impl ArtConfig {
                     // Lone fragment: pass through the parent.
                     let from = self.tree.node_at(level, pos);
                     ops.push(Op::Up { from, to: parent });
-                    self.node_uses[parent].passes += 1;
+                    let usage = &mut self.node_uses[parent];
+                    usage.passes = usage.passes.saturating_add(1);
                     *self.edge_loads.entry(from).or_insert(0) += 1;
                     i += 1;
                 }
@@ -272,7 +274,8 @@ impl ArtConfig {
         let mut node = output_node;
         while let Some(parent) = self.tree.parent(node) {
             *self.edge_loads.entry(node).or_insert(0) += 1;
-            self.node_uses[parent].passes += 1;
+            let usage = &mut self.node_uses[parent];
+            usage.passes = usage.passes.saturating_add(1);
             node = parent;
         }
         self.ops.push(ops);

@@ -3,7 +3,6 @@
 use maeri_noc::{BinaryTree, ChubbyTree};
 use maeri_sim::util::is_pow2;
 use maeri_sim::{Result, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::art::VnRange;
 use crate::dist::Distributor;
@@ -28,7 +27,7 @@ use crate::fault::{FaultPlan, FaultSpec};
 /// assert_eq!(cfg.num_mult_switches(), 64);
 /// # Ok::<(), maeri_sim::SimError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MaeriConfig {
     num_mult_switches: usize,
     dist_bandwidth: usize,

@@ -13,14 +13,13 @@
 use maeri_dnn::zoo::Model;
 use maeri_dnn::{Layer, WeightMask};
 use maeri_sim::{Result, SimRng};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::RunStats;
 use crate::mapper::{ConvMapper, FcMapper, LstmMapper, PoolMapper, SparseConvMapper, VnPolicy};
 use crate::MaeriConfig;
 
 /// One entry of the compiled schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerCommand {
     /// Layer name.
     pub layer: String,
@@ -35,7 +34,7 @@ pub struct LayerCommand {
 }
 
 /// Result of executing a whole model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkRun {
     /// Model name.
     pub model: String,

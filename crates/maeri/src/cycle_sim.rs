@@ -21,7 +21,6 @@
 
 use maeri_sim::{Cycle, Result, SimError, SimRng, Stats};
 use maeri_telemetry::{FabricTelemetry, NullSink, TelemetrySink, TraceEvent, TraceSink};
-use serde::{Deserialize, Serialize};
 
 use crate::art::{pack_vns_into_spans, ArtConfig};
 use crate::MaeriConfig;
@@ -31,7 +30,7 @@ use crate::MaeriConfig;
 const FLIT_STREAM_SALT: u64 = 0x464c_4954; // "FLIT"
 
 /// Outcome of a clocked iteration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceStats {
     /// Total cycles from first issue to last output collected.
     pub cycles: Cycle,
@@ -58,7 +57,7 @@ impl TraceStats {
 }
 
 /// One lane (virtual neuron) of the iteration being traced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneSpec {
     /// Multiplier switches in the lane.
     pub vn_size: usize,

@@ -16,7 +16,6 @@
 use maeri_noc::ChubbyTree;
 use maeri_sim::util::ceil_div;
 use maeri_sim::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Bandwidth-counting model of the distribution tree.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// // 63 distinct weights over an 8-wide root: 8 cycles.
 /// assert_eq!(dist.delivery_cycles(63, 1).as_u64(), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Distributor {
     chubby: ChubbyTree,
     drop_permille: u16,

@@ -6,7 +6,6 @@
 //! evaluation figures are all derived from these quantities.
 
 use maeri_sim::{Cycle, Stats};
-use serde::{Deserialize, Serialize};
 
 /// Statistics of one layer (or fused group) execution on an accelerator.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let run = RunStats::new("demo", 64, Cycle::new(100), 4800);
 /// assert!((run.utilization() - 0.75).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// What was executed (layer or experiment name).
     pub label: String,

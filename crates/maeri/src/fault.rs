@@ -22,7 +22,6 @@
 use std::collections::BTreeSet;
 
 use maeri_sim::{Result, SimError, SimRng};
-use serde::{Deserialize, Serialize};
 
 use crate::art::VnRange;
 
@@ -46,7 +45,7 @@ pub const PERMILLE: u16 = 1000;
 /// assert_eq!(plan.dead_leaves().len(), 16);
 /// assert!((plan.yield_fraction() - 0.75).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct FaultSpec {
     /// RNG seed used to place the faults.
     pub seed: u64,
@@ -153,7 +152,7 @@ impl FaultSpec {
 /// Materialization is deterministic: dead-element counts are exact
 /// (`floor(count * permille / 1000)`) and positions come from one
 /// [`SimRng`] stream seeded by [`FaultSpec::seed`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     spec: FaultSpec,
     leaves: usize,

@@ -13,13 +13,12 @@
 //! space the auto-tuner enumerates.
 
 use maeri_sim::Result;
-use serde::{Deserialize, Serialize};
 
 use super::conv::ConvMapping;
 use crate::MaeriConfig;
 
 /// The layer-kind-specific mapping knobs of one candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CandidateKind {
     /// Dense CONV: channel tile, replication cap, loop order.
     Conv(ConvMapping),
@@ -44,7 +43,7 @@ pub enum CandidateKind {
 
 /// One point in the mapping space: the partition knobs plus the fabric
 /// bandwidth pair the candidate runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MappingCandidate {
     /// Layer-kind-specific knobs.
     pub kind: CandidateKind,

@@ -30,7 +30,6 @@
 use maeri_dnn::ConvLayer;
 use maeri_sim::util::ceil_div;
 use maeri_sim::{Cycle, Result, SimError};
-use serde::{Deserialize, Serialize};
 
 use super::span_capacity;
 use crate::art::{pack_vns_into_spans, ArtConfig};
@@ -38,7 +37,7 @@ use crate::engine::RunStats;
 use crate::MaeriConfig;
 
 /// Where folded partial sums accumulate (Section 4.8).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum FoldMode {
     /// Temporal registers inside the adder switches accumulate across
@@ -53,7 +52,7 @@ pub enum FoldMode {
 
 /// Order in which output work units are tiled over the simultaneous
 /// VNs within one iteration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum LoopOrder {
     /// Lanes take distinct filters first (maximal input multicast:
     /// every lane shares one sliding window), spilling to further
@@ -70,7 +69,7 @@ pub enum LoopOrder {
 /// (`maeri-mapspace`) enumerates. [`ConvMapper::heuristic_mapping`]
 /// resolves the [`VnPolicy::Auto`] heuristic to one of these, making
 /// the legacy mapper a named point in the same space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConvMapping {
     /// Channels covered per VN (`1..=C`).
     pub channel_tile: usize,
@@ -83,7 +82,7 @@ pub struct ConvMapping {
 }
 
 /// How to size virtual neurons for a CONV layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum VnPolicy {
     /// One VN covers a whole 3-D filter (`R*S*C`), folding if needed.

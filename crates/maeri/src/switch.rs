@@ -1,15 +1,13 @@
 //! The three switch types of Figure 3: multiplier switches, adder
 //! switches, and simple switches.
 
-use serde::{Deserialize, Serialize};
-
 /// Static configuration of one adder switch for a layer run
 /// (Section 3.2.3: "Each AS is statically configured to act as either
 /// 2:1 ADD, 3:1 ADD, 1:1 ADD plus 1:1 forward, or 2:2 forward").
 ///
 /// `Idle` covers switches outside any virtual neuron, and `CompareN`
 /// variants are the POOL-layer comparator configurations (Section 4.4).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum AdderMode {
     /// Not part of any virtual neuron.

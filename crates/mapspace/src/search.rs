@@ -10,7 +10,6 @@ use maeri_dnn::WeightMask;
 use maeri_sim::util::ceil_div;
 use maeri_sim::{Result, SimError, SimRng};
 use maeri_verify::{statically_reject, VerifyLayer};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 use crate::space::{enumerate, space_size, SearchLayer, SearchSpec};
@@ -18,7 +17,7 @@ use crate::strategy::Strategy;
 
 /// Per-search telemetry: how much of the space was looked at and how
 /// well the analytic ranking agreed with the exact trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchCounters {
     /// Candidates the strategy considered (exhaustive: the whole
     /// space; random: the sample; beam: every visited point).
@@ -43,7 +42,7 @@ pub struct SearchCounters {
 }
 
 /// One evaluated candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateOutcome {
     /// The mapping point.
     pub candidate: MappingCandidate,
@@ -64,7 +63,7 @@ impl CandidateOutcome {
 }
 
 /// Outcome of one mapping search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchResult {
     /// Tuned layer name.
     pub layer: String,

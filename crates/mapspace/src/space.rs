@@ -3,7 +3,6 @@
 
 use maeri::{CandidateKind, ConvMapping, LoopOrder, MaeriConfig, MappingCandidate};
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer};
-use serde::{Deserialize, Serialize};
 
 use crate::strategy::Strategy;
 
@@ -11,7 +10,7 @@ use crate::strategy::Strategy;
 /// (zero fraction + seed) rather than a materialized mask so specs
 /// stay small, hashable, and serializable — the search regenerates the
 /// mask deterministically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SearchLayer {
     /// Dense convolution.
     Conv(ConvLayer),
@@ -56,7 +55,7 @@ impl SearchLayer {
 /// A complete description of one mapping search. Everything the search
 /// does is a deterministic function of this value, which is why
 /// `maeri-runtime` can content-hash it as a cache key.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpec {
     /// The layer to tune.
     pub layer: SearchLayer,

@@ -3,10 +3,8 @@
 //! construction, random from a fixed seed, beam by breadth-first
 //! expansion with stable tie-breaks.
 
-use serde::{Deserialize, Serialize};
-
 /// How to walk the mapping space.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Score every candidate in the space (the default; small spaces
     /// are cheap because scoring is closed-form).

@@ -8,7 +8,6 @@
 
 use maeri_sim::util::is_pow2;
 use maeri_sim::{Result, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::topology::BinaryTree;
 
@@ -32,7 +31,7 @@ use crate::topology::BinaryTree;
 /// assert_eq!(chubby.link_bandwidth(4), 1); // tapered to 1x
 /// # Ok::<(), maeri_sim::SimError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChubbyTree {
     tree: BinaryTree,
     root_bandwidth: usize,

@@ -13,14 +13,13 @@ use std::collections::VecDeque;
 
 use maeri_sim::{Cycle, Result, SimError};
 use maeri_telemetry::{NullSink, TraceEvent, TraceSink};
-use serde::{Deserialize, Serialize};
 
 use crate::chubby::ChubbyTree;
 use crate::routing::multicast_tree;
 use crate::topology::NodeId;
 
 /// One injected transfer: a value delivered to a set of leaves.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Identifier carried through the simulation.
     pub id: usize,
@@ -29,7 +28,7 @@ pub struct Packet {
 }
 
 /// Result of delivering a batch of packets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeliveryReport {
     /// Cycle at which the last packet reached its last leaf.
     pub finish_cycle: Cycle,

@@ -15,13 +15,11 @@
 //! * the mesh pays a large constant router overhead,
 //! * the crossbar explodes quadratically at high bandwidth.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chubby::ChubbyTree;
 use crate::topology::BinaryTree;
 
 /// Area (µm²) and power (mW) of one NoC configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocPpa {
     /// Silicon area in µm².
     pub area_um2: f64,
@@ -64,7 +62,7 @@ mod cost {
 }
 
 /// The NoC designs compared in Figure 16.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum NocKind {
     /// MAERI's distribution tree + ART pair with chubby links.

@@ -16,10 +16,9 @@
 //!   VN: a VN consumes `ceil(vn / w)` entire trees.
 
 use maeri_sim::util::{ceil_div, next_pow2};
-use serde::{Deserialize, Serialize};
 
 /// Which reduction network to model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ReductionKind {
     /// MAERI's Augmented Reduction Tree.

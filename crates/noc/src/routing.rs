@@ -10,8 +10,6 @@
 //! per-level link usage a transfer occupies (which is what the chubby
 //! profile must cover).
 
-use serde::{Deserialize, Serialize};
-
 use crate::topology::{BinaryTree, NodeId};
 
 /// A source route from the root to one leaf: one bit per level,
@@ -39,7 +37,7 @@ pub fn unicast_route(tree: &BinaryTree, leaf: usize) -> Vec<bool> {
 
 /// The set of tree nodes a multicast to `leaves` traverses, and the
 /// switches at which the value is replicated.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MulticastTree {
     /// Every node the value visits (including the root and the
     /// destination leaves).

@@ -8,7 +8,6 @@
 
 use maeri_sim::util::{is_pow2, log2};
 use maeri_sim::{Result, SimError};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a tree node in level-order numbering (root = 0).
 pub type NodeId = usize;
@@ -31,7 +30,7 @@ pub type NodeId = usize;
 /// assert_eq!(t.leaf_node(0), 7);
 /// # Ok::<(), maeri_sim::SimError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BinaryTree {
     leaves: usize,
 }

@@ -1,11 +1,9 @@
 //! Accelerator design points (Table 3, Figure 11).
 
-use serde::{Deserialize, Serialize};
-
 use crate::components::{self as c, Cost};
 
 /// Which accelerator organization a design point models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum AcceleratorKind {
     /// Eyeriss-style PEs (MAC + register file + control) on buses.
@@ -63,7 +61,7 @@ impl AcceleratorKind {
 /// let area = maeri.area_um2();
 /// assert!((area / 1e6 - 3.84).abs() < 0.05); // Table 3: 3.84 mm²
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// Organization.
     pub kind: AcceleratorKind,

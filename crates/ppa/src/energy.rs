@@ -9,10 +9,9 @@
 //! ISSCC 2014 keynote, scaled to 16-bit).
 
 use maeri::engine::RunStats;
-use serde::{Deserialize, Serialize};
 
 /// Per-operation energy constants in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// One 16-bit multiply.
     pub mult_pj: f64,

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A count of clock cycles.
 ///
 /// All latency results in this workspace are expressed in `Cycle`s so
@@ -23,9 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let drain = Cycle::new(8);
 /// assert_eq!((fill + body + drain).as_u64(), 43);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(u64);
 
 impl Cycle {

@@ -1,7 +1,5 @@
 //! Sample histograms and percentiles for trace analysis.
 
-use serde::{Deserialize, Serialize};
-
 /// A collection of `u64` samples with summary statistics — used to
 /// analyze per-iteration latencies and stall distributions from the
 /// clocked simulations.
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.median(), Some(2));
 /// assert_eq!(h.max(), Some(10));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     samples: Vec<u64>,
     sorted: bool,

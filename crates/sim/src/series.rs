@@ -5,8 +5,6 @@
 //! and provides the summary statistics the paper quotes (averages,
 //! speedup ratios, crossover points).
 
-use serde::{Deserialize, Serialize};
-
 /// One labelled curve: a name plus `(x, y)` points.
 ///
 /// # Example
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.len(), 2);
 /// assert!(s.mean_y().unwrap() > 0.96);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Series {
     name: String,
     points: Vec<(f64, f64)>,

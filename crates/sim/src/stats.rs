@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A bag of named, monotonically increasing event counters.
 ///
 /// Simulators record events (`sram_reads`, `mult_busy`, `link_hops`, ...)
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.get("outputs"), 1);
 /// assert_eq!(stats.get("never_recorded"), 0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Stats {
     counters: BTreeMap<String, u64>,
 }

@@ -1,7 +1,5 @@
 //! The probe event vocabulary.
 
-use serde::{Deserialize, Serialize};
-
 /// One observation from a clocked fabric simulation.
 ///
 /// Events are deliberately small `Copy` values: a probe site builds one
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// sink never even constructs it. Cycle numbers are the simulation's
 /// own 1-based clock; lane/switch indices identify virtual neurons and
 /// multiplier switches within the run being traced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TraceEvent {
     /// Words injected at the distribution-tree root this cycle

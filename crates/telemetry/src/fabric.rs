@@ -2,7 +2,6 @@
 
 use maeri_sim::histogram::Histogram;
 use maeri_sim::Stats;
-use serde::{Deserialize, Serialize};
 
 use crate::json::JsonValue;
 
@@ -19,7 +18,7 @@ use crate::json::JsonValue;
 /// the root), counting unique injected words against the level's
 /// aggregate link bandwidth — a lower bound, since multicast
 /// replication by the simple switches is free and not re-counted.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FabricTelemetry {
     /// Cycles of the traced iteration.
     pub cycles: u64,

@@ -123,7 +123,6 @@ impl PartitionReport {
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeUse {
     addends: u8,
-    passes: u8,
     lateral_in: bool,
     lateral_out: bool,
 }
@@ -370,7 +369,6 @@ impl Walker<'_> {
                     i += 2;
                 } else {
                     let from = self.tree.node_at(level, pos);
-                    self.node_uses[parent].passes += 1;
                     *self.edge_loads.entry(from).or_insert(0) += 1;
                     i += 1;
                 }
@@ -383,7 +381,6 @@ impl Walker<'_> {
         let mut node = self.tree.node_at(level, frags[0]);
         while let Some(parent) = self.tree.parent(node) {
             *self.edge_loads.entry(node).or_insert(0) += 1;
-            self.node_uses[parent].passes += 1;
             node = parent;
         }
         Ok(())
@@ -467,7 +464,6 @@ impl Walker<'_> {
             to_use.lateral_in = true;
             if to_use.addends == 0 {
                 to_use.addends = 2;
-                to_use.passes = to_use.passes.saturating_sub(1);
             } else {
                 to_use.addends += 1;
             }

@@ -10,9 +10,13 @@
 
 use maeri::art::{ArtConfig, VnRange};
 use maeri::fault::{FaultPlan, FaultSpec};
+use maeri::mapper::{CandidateKind, MappingCandidate};
+use maeri::switch::AdderMode;
+use maeri::MaeriConfig;
+use maeri_dnn::layer::FcLayer;
 use maeri_noc::{BinaryTree, ChubbyTree};
 use maeri_sim::SimRng;
-use maeri_verify::verify_reduction;
+use maeri_verify::{verify_mapping, verify_reduction, VerifyLayer};
 
 fn chubby(leaves: usize, bw: usize) -> ChubbyTree {
     ChubbyTree::new(BinaryTree::with_leaves(leaves).unwrap(), bw).unwrap()
@@ -277,4 +281,25 @@ fn seeded_random_partitions_at_64_leaves_with_faults() {
     }
     assert!(accepted > 500, "accepted only {accepted}");
     assert!(rejected > 500, "rejected only {rejected}");
+}
+
+/// An FC mapping with VN size 1 on 256 switches routes one value per
+/// leaf through the root adder: 256 passes, one past `u8::MAX`. Both
+/// walks must accept it without overflowing (test builds check
+/// arithmetic), and the root must still forward rather than idle.
+#[test]
+fn fc_vn_size_one_on_256_switches_forwards_at_the_root() {
+    let base = MaeriConfig::builder(256).build().unwrap();
+    let fc = FcLayer::new("fc-256", 256, 4);
+    let cand = MappingCandidate::with_base_bandwidth(CandidateKind::Fc { vn_size: 1 }, &base);
+    let report = verify_mapping(&base, &VerifyLayer::Fc(&fc), &cand).unwrap();
+    let reduction = report.partition.unwrap().reduction;
+    assert_eq!((reduction.num_vns, reduction.busy_leaves), (256, 256));
+
+    let vns: Vec<VnRange> = (0..256).map(|leaf| VnRange::new(leaf, 1)).collect();
+    let art = ArtConfig::build(base.collection_chubby(), &vns).unwrap();
+    assert_eq!(
+        art.adder_mode(art.tree().node_at(0, 0)),
+        AdderMode::ForwardTwo
+    );
 }

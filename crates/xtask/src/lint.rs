@@ -1,19 +1,24 @@
 //! The repository invariant checks behind `cargo run -p xtask -- lint`.
 //!
-//! Every check is a pure function over `(path, content)` pairs so the
-//! unit tests below can prove each one fails on a seeded violation
-//! without touching the real tree. The binary (`main.rs`) walks the
-//! workspace and feeds real files through the same functions.
+//! Every Rust-reading check is a pure function over
+//! [`maeri_analyze::FileAst`]s, the same front end the determinism
+//! analyzer uses: scans run over the scrubbed, test-blanked `code`, so
+//! comments, string literals and `#[cfg(test)]` items never count, and
+//! literal contents (report names, `name()` strings) are read from the
+//! byte-aligned `source`. [`lint_workspace`] parses the tree with the
+//! analyzer's walker and feeds every file through the checks; the unit
+//! tests below prove each check fails on a seeded violation.
 //!
 //! Checks:
 //!
 //! 1. **Probe-twin sync** — every `pub fn NAME_probed` in `crates/maeri`
 //!    and `crates/noc` must have a plain `fn NAME` in the same file,
-//!    and one of the pair must delegate to the other (so the probed and
-//!    unprobed entry points cannot drift apart).
-//! 2. **Unwrap allowlist** — `.unwrap()` / `.expect(` outside
-//!    `#[cfg(test)]` code is only allowed in allowlisted files, and
-//!    allowlist entries that no longer match anything are stale.
+//!    and one of the pair must call the other, or both must call the
+//!    two halves of one inner pair (so the probed and unprobed entry
+//!    points cannot drift apart).
+//! 2. **Unwrap allowlist** — `.unwrap()` / `.expect(` calls in non-test
+//!    code are only allowed in allowlisted files, and allowlist entries
+//!    that no longer match anything are stale.
 //! 3. **Report registry** — `crates/bench/src/reports/mod.rs` ids must
 //!    be unique, contiguous, and start at 1 (EXPERIMENTS.md quotes
 //!    them).
@@ -23,26 +28,21 @@
 //!    top-level docs (README, ROADMAP, DESIGN, EXPERIMENTS) must exist
 //!    in the tree, so refactors cannot leave the docs pointing at
 //!    nothing.
-//! 6. **Chaos fault coverage** — every `FaultPoint` variant in
-//!    `crates/serve/src/chaos.rs` must be listed in `FaultPoint::ALL`,
-//!    carry a stable snake_case `name()` string, and be exercised by a
-//!    serve test or the `chaos_recovery` report (directly or via an
-//!    iteration over `FaultPoint::ALL`), so a new fault cannot ship
-//!    without the harness injecting it.
-//! 7. **Span-kind catalog coverage** — every `SpanKind` variant in
-//!    `crates/telemetry/src/span.rs` must be listed in
-//!    `SpanKind::ALL`, carry a stable snake_case `name()` string, be
-//!    emitted somewhere in the serving stack (`crates/serve/src`,
-//!    `crates/runtime/src`), and be exercised by a serve test or the
-//!    `service_trace` report — so the trace vocabulary, its emitters,
-//!    and its tests cannot drift apart.
-//! 8. **Placement-policy catalog coverage** — every `PlacementPolicy`
-//!    variant in `crates/fleet/src/placement.rs` must be listed in
-//!    `PlacementPolicy::ALL`, carry a stable snake_case `name()`
-//!    string, be exercised by a fleet test or the `fleet_schedule`
-//!    report (directly or via a `PlacementPolicy::ALL` sweep), and be
-//!    documented in DESIGN.md — a new scheduling policy cannot ship
-//!    untested or undocumented.
+//! 6. **Closed catalogs** — for each row of [`CATALOGS`] (chaos
+//!    `FaultPoint`, trace `SpanKind`, fleet `PlacementPolicy`), every
+//!    variant must be listed in the enum's `ALL`, carry a stable
+//!    snake_case `name()` string, be exercised in the row's coverage
+//!    scope (by qualified name, by its quoted name string, or by a
+//!    sweep over `ALL`), and, where the row asks, be emitted in its
+//!    emitter scope and listed in DESIGN.md.
+
+use maeri_analyze::classify::called_names;
+use maeri_analyze::lexer::line_of;
+use maeri_analyze::workspace::parse_trees;
+use maeri_analyze::FileAst;
+use std::io;
+use std::ops::Range;
+use std::path::Path;
 
 /// One violated invariant: the offending path plus a human message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,6 +61,14 @@ impl Finding {
         }
     }
 }
+
+/// Trees whose files checks 1–4 read: the facade, every crate (xtask
+/// included) and every compat shim.
+const SOURCE_TREES: &[&str] = &["src", "crates", "compat"];
+
+/// Test trees read only as catalog coverage. The walker does not
+/// descend into `tests/` directories, so they are walked on their own.
+const TEST_TREES: &[&str] = &["crates/serve/tests", "crates/fleet/tests"];
 
 /// Files allowed to call `.unwrap()` / `.expect(` outside test code.
 /// Every entry documents a deliberate panic-on-violated-invariant
@@ -102,53 +110,141 @@ pub const UNWRAP_ALLOWLIST: &[&str] = &[
     "crates/telemetry/src/json.rs",
 ];
 
-/// The portion of a source file that ships in the library/binary: the
-/// text above the first `#[cfg(test)]` marker (this workspace keeps
-/// test modules at the end of each file).
-fn non_test(content: &str) -> &str {
-    match content.find("#[cfg(test)]") {
-        Some(idx) => &content[..idx],
-        None => content,
+/// One closed catalog: a fieldless enum whose variant set must stay in
+/// step with its `ALL` array, its `name()` strings, its tests and,
+/// per row, its emitters and DESIGN.md. Scopes are path prefixes (a
+/// directory ends in `/`) or whole files; the catalog file itself
+/// never counts toward its own scopes, since its `ALL` and `name()`
+/// mention every variant.
+#[derive(Debug, Clone, Copy)]
+pub struct Catalog {
+    /// The enum's identifier.
+    pub enum_name: &'static str,
+    /// The file declaring the enum.
+    pub file: &'static str,
+    /// Where each variant must be named in non-test code; empty means
+    /// no emitter requirement.
+    pub emitters: &'static [&'static str],
+    /// Where each variant must be exercised.
+    pub coverage: &'static [&'static str],
+    /// Whether DESIGN.md must list each variant's snake_case name.
+    pub documented: bool,
+}
+
+/// Check 6's table. A new fault cannot ship without the chaos harness
+/// injecting it, a new span kind without the serving stack emitting it
+/// and a test asserting on it, a new placement policy untested or
+/// undocumented.
+pub const CATALOGS: [Catalog; 3] = [
+    Catalog {
+        enum_name: "FaultPoint",
+        file: "crates/serve/src/chaos.rs",
+        emitters: &[],
+        coverage: &[
+            "crates/serve/tests/",
+            "crates/bench/src/reports/chaos_recovery.rs",
+        ],
+        documented: false,
+    },
+    Catalog {
+        enum_name: "SpanKind",
+        file: "crates/telemetry/src/span.rs",
+        emitters: &["crates/serve/src/", "crates/runtime/src/"],
+        coverage: &[
+            "crates/serve/tests/",
+            "crates/bench/src/reports/service_trace.rs",
+        ],
+        documented: false,
+    },
+    Catalog {
+        enum_name: "PlacementPolicy",
+        file: "crates/fleet/src/placement.rs",
+        emitters: &[],
+        coverage: &[
+            "crates/fleet/src/",
+            "crates/fleet/tests/",
+            "crates/bench/src/reports/fleet_schedule.rs",
+        ],
+        documented: true,
+    },
+];
+
+/// The outcome of one lint run over the workspace.
+#[derive(Debug, Default)]
+pub struct LintReport {
+    /// Source files checks 1–4 read.
+    pub files: usize,
+    /// Every violated invariant, in check order.
+    pub findings: Vec<Finding>,
+}
+
+/// Runs every check over the workspace at `root`.
+///
+/// # Errors
+///
+/// Returns the first I/O failure walking or reading a Rust source.
+pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
+    let mut files = parse_trees(root, SOURCE_TREES)?;
+    let sources = files.len();
+    let mut findings = Vec::new();
+
+    for file in &files {
+        if file.path.starts_with("crates/maeri/src") || file.path.starts_with("crates/noc/src") {
+            findings.extend(check_probe_twins(file));
+        }
+        if file.path.ends_with("/lib.rs") || file.path == "src/lib.rs" {
+            findings.extend(check_forbid_unsafe(file));
+        }
     }
+    findings.extend(check_unwraps(&files, UNWRAP_ALLOWLIST));
+    let registry = "crates/bench/src/reports/mod.rs";
+    match files.iter().find(|f| f.path == registry) {
+        Some(file) => findings.extend(check_report_registry(file)),
+        None => findings.push(Finding::new(registry, "report registry file is missing")),
+    }
+
+    // Joining an absolute candidate yields the candidate itself.
+    let exists = |candidate: &str| root.join(candidate).exists();
+    for doc in ["README.md", "ROADMAP.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        if let Ok(content) = std::fs::read_to_string(root.join(doc)) {
+            findings.extend(check_doc_paths(doc, &content, &exists));
+        }
+    }
+
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap_or_default();
+    files.extend(parse_trees(root, TEST_TREES)?);
+    for catalog in &CATALOGS {
+        findings.extend(check_catalog(catalog, &files, &design));
+    }
+    Ok(LintReport {
+        files: sources,
+        findings,
+    })
 }
 
-/// Whether the trimmed line is a comment (line or doc comment).
-fn is_comment(line: &str) -> bool {
-    let t = line.trim_start();
-    t.starts_with("//")
-}
-
-/// Check 2: `.unwrap()` / `.expect(` outside tests and outside the
-/// allowlist. `files` are `(repo-relative path, content)` pairs for the
-/// whole scan scope; the allowlist is cross-checked for staleness.
-pub fn check_unwraps(files: &[(String, String)], allowlist: &[&str]) -> Vec<Finding> {
+/// Check 2: `.unwrap()` / `.expect(` calls in non-test code outside
+/// the allowlist; the allowlist is cross-checked for staleness.
+pub fn check_unwraps(files: &[FileAst], allowlist: &[&str]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut matched: Vec<&str> = Vec::new();
-    for (path, content) in files {
-        let mut hits = 0usize;
-        let mut first_line = 0usize;
-        for (i, line) in non_test(content).lines().enumerate() {
-            if is_comment(line) {
-                continue;
-            }
-            if line.contains(".unwrap()") || line.contains(".expect(") {
-                hits += 1;
-                if first_line == 0 {
-                    first_line = i + 1;
-                }
-            }
-        }
-        if hits == 0 {
+    for file in files {
+        let hits: Vec<usize> = [".unwrap()", ".expect("]
+            .iter()
+            .flat_map(|call| file.code.match_indices(call).map(|(at, _)| at))
+            .collect();
+        let Some(&first) = hits.iter().min() else {
             continue;
-        }
-        if let Some(entry) = allowlist.iter().find(|e| **e == path.as_str()) {
+        };
+        if let Some(entry) = allowlist.iter().find(|e| **e == file.path) {
             matched.push(entry);
         } else {
             findings.push(Finding::new(
-                path,
+                &file.path,
                 format!(
-                    "{hits} non-test unwrap()/expect() call(s) (first at line {first_line}); \
-                     return a Result or add the file to UNWRAP_ALLOWLIST"
+                    "{} non-test unwrap()/expect() call(s) (first at line {}); \
+                     return a Result or add the file to UNWRAP_ALLOWLIST",
+                    hits.len(),
+                    line_of(&file.code, first)
                 ),
             ));
         }
@@ -164,108 +260,51 @@ pub fn check_unwraps(files: &[(String, String)], allowlist: &[&str]) -> Vec<Find
     findings
 }
 
-/// Extracts the body of the function whose signature starts at
-/// `sig_start` (the index of its `fn` keyword): the text between the
-/// first `{` after the signature and its matching `}`.
-fn fn_body(content: &str, sig_start: usize) -> Option<&str> {
-    let rest = &content[sig_start..];
-    let open = rest.find('{')?;
-    let mut depth = 0usize;
-    for (i, c) in rest[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[open + 1..open + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Finds the `fn NAME` definition (not `NAME_probed`, not a prefix of a
-/// longer name) and returns the index of its `fn` keyword.
-fn find_fn(content: &str, name: &str) -> Option<usize> {
-    let needle = format!("fn {name}");
-    let mut from = 0;
-    while let Some(rel) = content[from..].find(&needle) {
-        let at = from + rel;
-        let after = content[at + needle.len()..].chars().next();
-        if matches!(after, Some('(' | '<')) {
-            return Some(at);
-        }
-        from = at + needle.len();
-    }
-    None
-}
-
-/// Base names of the `*_probed` functions a body calls (`foo_probed(`
-/// yields `foo`).
-fn probed_calls(body: &str) -> Vec<&str> {
-    let mut names = Vec::new();
-    let mut from = 0;
-    while let Some(rel) = body[from..].find("_probed(") {
-        let at = from + rel;
-        let head = &body[..at];
-        let start = head
-            .rfind(|c: char| !(c.is_alphanumeric() || c == '_'))
-            .map_or(0, |i| i + 1);
-        if start < at {
-            names.push(&body[start..at]);
-        }
-        from = at + "_probed(".len();
-    }
-    names
-}
-
 /// Check 1: probed entry points stay in sync with their plain twins.
-pub fn check_probe_twins(path: &str, content: &str) -> Vec<Finding> {
+pub fn check_probe_twins(file: &FileAst) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let code = non_test(content);
-    let mut from = 0;
-    while let Some(rel) = code[from..].find("pub fn ") {
-        let at = from + rel;
-        let name_start = at + "pub fn ".len();
-        let name: String = code[name_start..]
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        from = name_start + name.len().max(1);
-        let Some(base) = name.strip_suffix("_probed") else {
+    let calls = |name: &str| {
+        file.fns
+            .iter()
+            .find(|f| f.name == name)
+            .map(|f| called_names(&file.code[f.body.clone()]))
+    };
+    for probed in &file.fns {
+        let Some(base) = probed.name.strip_suffix("_probed") else {
             continue;
         };
-        let Some(plain_at) = find_fn(code, base) else {
+        if !file.code[..probed.start].trim_end().ends_with("pub") {
+            continue;
+        }
+        let Some(plain_calls) = calls(base) else {
             findings.push(Finding::new(
-                path,
-                format!("probed entry point `{name}` has no plain twin `fn {base}`"),
+                &file.path,
+                format!(
+                    "probed entry point `{}` has no plain twin `fn {base}`",
+                    probed.name
+                ),
             ));
             continue;
         };
-        let probed_body = find_fn(code, &name).and_then(|i| fn_body(code, i));
-        let plain_body = fn_body(code, plain_at);
-        // Direct delegation: one twin calls the other.
-        let mut delegates = probed_body.is_some_and(|b| b.contains(&format!("{base}(")))
-            || plain_body.is_some_and(|b| b.contains(name.as_str()));
-        // Parallel delegation: both twins forward to the same inner
-        // pair (`multicast_cycles` → `delivery_cycles`,
+        let probed_calls = called_names(&file.code[probed.body.clone()]);
+        // Direct delegation: one twin calls the other. Parallel
+        // delegation: the twins call the two halves of one inner pair
+        // (`multicast_cycles` → `delivery_cycles`,
         // `multicast_cycles_probed` → `delivery_cycles_probed`), so
         // drift is prevented one level down.
-        if !delegates {
-            if let (Some(pb), Some(nb)) = (probed_body, plain_body) {
-                delegates = probed_calls(pb)
-                    .iter()
-                    .any(|inner| nb.contains(&format!("{inner}(")));
-            }
-        }
+        let delegates = probed_calls.contains(base)
+            || plain_calls.contains(&probed.name)
+            || probed_calls
+                .iter()
+                .filter_map(|c| c.strip_suffix("_probed"))
+                .any(|inner| plain_calls.contains(inner));
         if !delegates {
             findings.push(Finding::new(
-                path,
+                &file.path,
                 format!(
-                    "`{name}` and `fn {base}` do not delegate to each other; \
-                     reimplementing one risks probe drift"
+                    "`{}` and `fn {base}` do not delegate to each other; \
+                     reimplementing one risks probe drift",
+                    probed.name
                 ),
             ));
         }
@@ -273,44 +312,47 @@ pub fn check_probe_twins(path: &str, content: &str) -> Vec<Finding> {
     findings
 }
 
+/// The byte range between the first `open` at or after `from` and the
+/// next `close`.
+fn between(code: &str, from: usize, open: char, close: char) -> Option<Range<usize>> {
+    let start = from + code[from..].find(open)? + 1;
+    Some(start..start + code[start..].find(close)?)
+}
+
+/// The byte range of the initializer array of `const NAME` in scrubbed
+/// `code`, searched from its `=` so a `[T; N]` type is skipped.
+fn const_array(code: &str, name: &str) -> Option<Range<usize>> {
+    let start = code.find(&format!("const {name}"))?;
+    between(code, start + code[start..].find('=')?, '[', ']')
+}
+
 /// Check 3: the report registry's ids are unique, contiguous, and
 /// start at 1; names are unique.
-pub fn check_report_registry(path: &str, content: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut entries: Vec<(usize, String)> = Vec::new();
-    let mut in_registry = false;
-    for line in content.lines() {
-        if line.contains("pub const REPORTS") {
-            in_registry = true;
-            continue;
-        }
-        if !in_registry {
-            continue;
-        }
-        if line.trim_start().starts_with("];") {
-            break;
-        }
-        let t = line.trim_start();
-        let Some(rest) = t.strip_prefix('(') else {
-            continue;
-        };
-        let Some((id_text, tail)) = rest.split_once(',') else {
-            continue;
-        };
-        let Ok(id) = id_text.trim().parse::<usize>() else {
-            continue;
-        };
-        let name = tail.split('"').nth(1).unwrap_or("").to_owned();
-        entries.push((id, name));
-    }
+pub fn check_report_registry(file: &FileAst) -> Vec<Finding> {
+    // Entries are `(id, "name", module::run),` lines; the name is a
+    // literal, so it is read from the source.
+    let body = const_array(&file.code, "REPORTS").map_or("", |r| &file.source[r]);
+    let entries: Vec<(usize, &str)> = body
+        .lines()
+        .filter_map(|line| {
+            let (id, tail) = line.trim_start().strip_prefix('(')?.split_once(',')?;
+            Some((
+                id.trim().parse().ok()?,
+                tail.split('"').nth(1).unwrap_or(""),
+            ))
+        })
+        .collect();
     if entries.is_empty() {
-        findings.push(Finding::new(path, "no REPORTS registry entries found"));
-        return findings;
+        return vec![Finding::new(
+            &file.path,
+            "no REPORTS registry entries found",
+        )];
     }
+    let mut findings = Vec::new();
     for (i, (id, _)) in entries.iter().enumerate() {
         if *id != i + 1 {
             findings.push(Finding::new(
-                path,
+                &file.path,
                 format!(
                     "report ids must be contiguous from 1: position {} holds id {id}",
                     i + 1
@@ -318,12 +360,12 @@ pub fn check_report_registry(path: &str, content: &str) -> Vec<Finding> {
             ));
         }
     }
-    let mut names: Vec<&str> = entries.iter().map(|(_, n)| n.as_str()).collect();
+    let mut names: Vec<&str> = entries.iter().map(|(_, n)| *n).collect();
     names.sort_unstable();
     for pair in names.windows(2) {
         if pair[0] == pair[1] {
             findings.push(Finding::new(
-                path,
+                &file.path,
                 format!("duplicate report name \"{}\"", pair[0]),
             ));
         }
@@ -334,12 +376,12 @@ pub fn check_report_registry(path: &str, content: &str) -> Vec<Finding> {
 /// Check 4: crate entry points must forbid unsafe code at the source
 /// level (the workspace lint table covers crates that opt in; the
 /// header makes the guarantee visible and file-local).
-pub fn check_forbid_unsafe(path: &str, content: &str) -> Vec<Finding> {
-    if content.contains("#![forbid(unsafe_code)]") {
+pub fn check_forbid_unsafe(file: &FileAst) -> Vec<Finding> {
+    if file.code.contains("#![forbid(unsafe_code)]") {
         Vec::new()
     } else {
         vec![Finding::new(
-            path,
+            &file.path,
             "crate entry point is missing `#![forbid(unsafe_code)]`",
         )]
     }
@@ -398,258 +440,114 @@ pub fn check_doc_paths(doc: &str, content: &str, exists: &dyn Fn(&str) -> bool) 
     findings
 }
 
-/// Lowercases a CamelCase identifier into the snake_case form used by
-/// `FaultPoint::name` (`KillMidDispatch` → `kill_mid_dispatch`).
+/// Lowercases a CamelCase identifier into the snake_case form the
+/// catalogs' `name()` strings use (`KillMidDispatch` →
+/// `kill_mid_dispatch`).
 fn snake_case(ident: &str) -> String {
     let mut out = String::new();
     for (i, c) in ident.chars().enumerate() {
-        if c.is_uppercase() {
-            if i > 0 {
-                out.push('_');
-            }
-            out.extend(c.to_lowercase());
-        } else {
-            out.push(c);
+        if c.is_uppercase() && i > 0 {
+            out.push('_');
         }
+        out.extend(c.to_lowercase());
     }
     out
 }
 
-/// The variant identifiers of the plain (fieldless) enum declared as
-/// `decl` in `content`: lines inside the enum block that are bare
-/// identifiers ending in a comma (doc comments and attributes are
-/// skipped).
-fn plain_enum_variants(content: &str, decl: &str) -> Vec<String> {
-    let Some(start) = content.find(decl) else {
-        return Vec::new();
-    };
-    let Some(open) = content[start..].find('{') else {
-        return Vec::new();
-    };
-    let body_start = start + open + 1;
-    let Some(close) = content[body_start..].find('}') else {
-        return Vec::new();
-    };
-    let mut variants = Vec::new();
-    for line in content[body_start..body_start + close].lines() {
-        let t = line.trim();
-        let Some(name) = t.strip_suffix(',') else {
-            continue;
-        };
-        if !name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_') {
-            variants.push(name.to_owned());
-        }
-    }
-    variants
+/// The variants of the fieldless `enum NAME` in scrubbed `code`: the
+/// comma-separated identifiers between its braces.
+fn enum_variants(code: &str, name: &str) -> Vec<String> {
+    let body = code
+        .find(&format!("enum {name} "))
+        .and_then(|at| between(code, at, '{', '}'))
+        .map_or("", |r| &code[r]);
+    body.split(',')
+        .map(str::trim)
+        .filter(|v| !v.is_empty() && v.chars().all(|c| c.is_alphanumeric() || c == '_'))
+        .map(str::to_owned)
+        .collect()
 }
 
-/// The variant identifiers of `pub enum FaultPoint` in `content`.
-fn fault_point_variants(content: &str) -> Vec<String> {
-    plain_enum_variants(content, "pub enum FaultPoint")
+/// Whether `path` falls in `scope` (path prefixes or whole files).
+fn in_scope(path: &str, scope: &[&str]) -> bool {
+    scope.iter().any(|s| path.starts_with(s))
 }
 
-/// The text of the `ALL` const array inside the chaos module (between
-/// `const ALL` and its closing `]`), so membership can be tested
-/// without matching unrelated mentions of a variant.
-fn fault_point_all_body(content: &str) -> &str {
-    let Some(start) = content.find("const ALL") else {
-        return "";
-    };
-    // Skip past the `=` so the `[FaultPoint; N]` type annotation is
-    // not mistaken for the initializer array.
-    let Some(eq) = content[start..].find('=') else {
-        return "";
-    };
-    let Some(open) = content[start + eq..].find('[') else {
-        return "";
-    };
-    let body_start = start + eq + open + 1;
-    match content[body_start..].find(']') {
-        Some(close) => &content[body_start..body_start + close],
-        None => "",
-    }
-}
-
-/// Check 6: every `FaultPoint` variant is registered in
-/// `FaultPoint::ALL`, carries its stable snake_case `name()` string,
-/// and is exercised by at least one coverage file (serve tests, the
-/// chaos module's own test block, the `chaos_recovery` report) —
-/// either by naming the variant / its snake_case string, or by
-/// iterating `FaultPoint::ALL`.
-pub fn check_fault_points(
-    path: &str,
-    chaos_content: &str,
-    coverage: &[(String, String)],
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let variants = fault_point_variants(chaos_content);
-    if variants.is_empty() {
-        findings.push(Finding::new(
+/// Check 6: one closed catalog stays honest. `files` holds every
+/// parsed file (sources and test trees); `design` is DESIGN.md.
+pub fn check_catalog(catalog: &Catalog, files: &[FileAst], design: &str) -> Vec<Finding> {
+    let (name, path) = (catalog.enum_name, catalog.file);
+    let Some(file) = files.iter().find(|f| f.path == path) else {
+        return vec![Finding::new(
             path,
-            "no `pub enum FaultPoint` variants found (the chaos harness lint needs them)",
-        ));
-        return findings;
+            format!("`{name}` catalog module is missing"),
+        )];
+    };
+    let variants = enum_variants(&file.code, name);
+    if variants.is_empty() {
+        return vec![Finding::new(
+            path,
+            format!("no `pub enum {name}` variants found (the closed-catalog check needs them)"),
+        )];
     }
-    let all_body = fault_point_all_body(chaos_content);
+    let others = || files.iter().filter(|f| f.path != path);
+    let all_body = const_array(&file.code, "ALL").map_or("", |r| &file.code[r]);
+    let sweep = format!("{name}::ALL");
+    let mut findings = Vec::new();
     for variant in &variants {
-        let qualified = format!("FaultPoint::{variant}");
+        let qualified = format!("{name}::{variant}");
         let snake = snake_case(variant);
+        let quoted = format!("\"{snake}\"");
         let in_all = all_body.contains(&qualified);
         if !in_all {
             findings.push(Finding::new(
                 path,
-                format!("fault point `{variant}` is missing from `FaultPoint::ALL`"),
+                format!("{name} variant `{variant}` is missing from `{sweep}`"),
             ));
         }
-        if !chaos_content.contains(&format!("\"{snake}\"")) {
+        if !file.source.contains(&quoted) {
             findings.push(Finding::new(
                 path,
-                format!("fault point `{variant}` has no stable `name()` string \"{snake}\""),
+                format!("{name} variant `{variant}` has no stable `name()` string {quoted}"),
             ));
         }
-        let exercised = coverage.iter().any(|(_, c)| {
-            c.contains(&qualified)
-                || c.contains(&snake)
-                || (in_all && c.contains("FaultPoint::ALL"))
-        });
+        if !catalog.emitters.is_empty()
+            && !others()
+                .filter(|f| in_scope(&f.path, catalog.emitters))
+                .any(|f| f.code.contains(&qualified))
+        {
+            findings.push(Finding::new(
+                path,
+                format!(
+                    "{name} variant `{variant}` is never emitted under {} \
+                     (emit it, or retire it from `{name}`)",
+                    catalog.emitters.join(", ")
+                ),
+            ));
+        }
+        let exercised = others()
+            .filter(|f| in_scope(&f.path, catalog.coverage))
+            .any(|f| {
+                f.source.contains(&qualified)
+                    || f.source.contains(&quoted)
+                    || (in_all && f.source.contains(&sweep))
+            });
         if !exercised {
             findings.push(Finding::new(
                 path,
                 format!(
-                    "fault point `{variant}` is not exercised by any serve test or the \
-                     chaos_recovery report (inject it, or fold it into a `FaultPoint::ALL` sweep)"
+                    "{name} variant `{variant}` is not exercised under {} \
+                     (name it, or sweep `{sweep}`)",
+                    catalog.coverage.join(", ")
                 ),
             ));
         }
-    }
-    findings
-}
-
-/// Check 7: the trace-span vocabulary stays honest. Every `SpanKind`
-/// variant in the telemetry catalog must be registered in
-/// `SpanKind::ALL`, carry its stable snake_case `name()` string, be
-/// emitted by the serving stack (`emitters`: serve and runtime
-/// sources), and be exercised by a coverage file (serve tests, the
-/// `service_trace` report) — by qualified name, by its snake_case
-/// string, or via an iteration over `SpanKind::ALL`.
-pub fn check_span_kinds(
-    path: &str,
-    span_content: &str,
-    emitters: &[(String, String)],
-    coverage: &[(String, String)],
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let variants = plain_enum_variants(span_content, "pub enum SpanKind");
-    if variants.is_empty() {
-        findings.push(Finding::new(
-            path,
-            "no `pub enum SpanKind` variants found (the span catalog lint needs them)",
-        ));
-        return findings;
-    }
-    let all_body = fault_point_all_body(span_content);
-    for variant in &variants {
-        let qualified = format!("SpanKind::{variant}");
-        let snake = snake_case(variant);
-        let in_all = all_body.contains(&qualified);
-        if !in_all {
-            findings.push(Finding::new(
-                path,
-                format!("span kind `{variant}` is missing from `SpanKind::ALL`"),
-            ));
-        }
-        if !span_content.contains(&format!("\"{snake}\"")) {
-            findings.push(Finding::new(
-                path,
-                format!("span kind `{variant}` has no stable `name()` string \"{snake}\""),
-            ));
-        }
-        if !emitters.iter().any(|(_, c)| c.contains(&qualified)) {
+        if catalog.documented && !design.contains(&snake) {
             findings.push(Finding::new(
                 path,
                 format!(
-                    "span kind `{variant}` is never emitted by the serving stack \
-                     (emit it, or retire it from the catalog)"
-                ),
-            ));
-        }
-        let exercised = coverage.iter().any(|(_, c)| {
-            c.contains(&qualified)
-                || c.contains(&format!("\"{snake}\""))
-                || (in_all && c.contains("SpanKind::ALL"))
-        });
-        if !exercised {
-            findings.push(Finding::new(
-                path,
-                format!(
-                    "span kind `{variant}` is not exercised by any serve test or the \
-                     service_trace report (assert on it, or sweep `SpanKind::ALL`)"
-                ),
-            ));
-        }
-    }
-    findings
-}
-
-/// Check 8: the fleet's placement-policy catalog stays honest. Every
-/// `PlacementPolicy` variant must be registered in
-/// `PlacementPolicy::ALL`, carry its stable snake_case `name()`
-/// string, be exercised by a coverage file (fleet sources/tests, the
-/// `fleet_schedule` report) — by qualified name, by its snake_case
-/// string, or via an iteration over `PlacementPolicy::ALL` — and be
-/// listed by its snake_case name in DESIGN.md.
-pub fn check_placement_policies(
-    path: &str,
-    placement_content: &str,
-    coverage: &[(String, String)],
-    design: &str,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let variants = plain_enum_variants(placement_content, "pub enum PlacementPolicy");
-    if variants.is_empty() {
-        findings.push(Finding::new(
-            path,
-            "no `pub enum PlacementPolicy` variants found (the policy catalog lint needs them)",
-        ));
-        return findings;
-    }
-    let all_body = fault_point_all_body(placement_content);
-    for variant in &variants {
-        let qualified = format!("PlacementPolicy::{variant}");
-        let snake = snake_case(variant);
-        let in_all = all_body.contains(&qualified);
-        if !in_all {
-            findings.push(Finding::new(
-                path,
-                format!("placement policy `{variant}` is missing from `PlacementPolicy::ALL`"),
-            ));
-        }
-        if !placement_content.contains(&format!("\"{snake}\"")) {
-            findings.push(Finding::new(
-                path,
-                format!("placement policy `{variant}` has no stable `name()` string \"{snake}\""),
-            ));
-        }
-        let exercised = coverage.iter().any(|(_, c)| {
-            c.contains(&qualified)
-                || c.contains(&format!("\"{snake}\""))
-                || (in_all && c.contains("PlacementPolicy::ALL"))
-        });
-        if !exercised {
-            findings.push(Finding::new(
-                path,
-                format!(
-                    "placement policy `{variant}` is not exercised by any fleet test or the \
-                     fleet_schedule report (schedule with it, or sweep `PlacementPolicy::ALL`)"
-                ),
-            ));
-        }
-        if !design.contains(&snake) {
-            findings.push(Finding::new(
-                path,
-                format!(
-                    "placement policy `{variant}` is not listed in DESIGN.md \
-                     (document \"{snake}\" in the policy catalog section)"
+                    "{name} variant `{variant}` is not listed in DESIGN.md \
+                     (document {quoted} in its catalog section)"
                 ),
             ));
         }
@@ -661,16 +559,17 @@ pub fn check_placement_policies(
 mod tests {
     use super::*;
 
-    fn pairs(entries: &[(&str, &str)]) -> Vec<(String, String)> {
-        entries
-            .iter()
-            .map(|(p, c)| ((*p).to_owned(), (*c).to_owned()))
-            .collect()
+    fn parse(entries: &[(&str, &str)]) -> Vec<FileAst> {
+        entries.iter().map(|(p, c)| FileAst::parse(p, c)).collect()
+    }
+
+    fn one(path: &str, source: &str) -> FileAst {
+        FileAst::parse(path, source)
     }
 
     #[test]
     fn unwrap_outside_allowlist_is_flagged() {
-        let files = pairs(&[(
+        let files = parse(&[(
             "crates/foo/src/lib.rs",
             "pub fn f() { let x: Option<u8> = None; x.unwrap(); }",
         )]);
@@ -682,7 +581,7 @@ mod tests {
 
     #[test]
     fn allowlisted_unwrap_passes_and_test_code_is_ignored() {
-        let files = pairs(&[
+        let files = parse(&[
             (
                 "crates/foo/src/lib.rs",
                 "pub fn f() { g().expect(\"invariant\"); }",
@@ -700,8 +599,17 @@ mod tests {
     }
 
     #[test]
+    fn unwrap_in_string_literal_or_block_comment_is_not_counted() {
+        let files = parse(&[(
+            "crates/foo/src/lib.rs",
+            "pub fn f() -> &'static str { /* never x.unwrap() here */ \"call .unwrap() or .expect(\" }",
+        )]);
+        assert_eq!(check_unwraps(&files, &[]), vec![]);
+    }
+
+    #[test]
     fn stale_allowlist_entry_is_flagged() {
-        let files = pairs(&[("crates/foo/src/lib.rs", "pub fn f() {}")]);
+        let files = parse(&[("crates/foo/src/lib.rs", "pub fn f() {}")]);
         let findings = check_unwraps(&files, &["crates/foo/src/lib.rs"]);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("stale"));
@@ -710,7 +618,7 @@ mod tests {
     #[test]
     fn missing_plain_twin_is_flagged() {
         let src = "pub fn fire_probed(sink: &mut S) -> u8 { 0 }";
-        let findings = check_probe_twins("crates/maeri/src/switch.rs", src);
+        let findings = check_probe_twins(&one("crates/maeri/src/switch.rs", src));
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("no plain twin `fn fire`"));
     }
@@ -720,7 +628,7 @@ mod tests {
         // Both exist but each reimplements the logic independently.
         let src = "pub fn fire() -> u8 { compute() }\n\
                    pub fn fire_probed(sink: &mut S) -> u8 { compute_and_emit(sink) }";
-        let findings = check_probe_twins("crates/maeri/src/switch.rs", src);
+        let findings = check_probe_twins(&one("crates/maeri/src/switch.rs", src));
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("do not delegate"));
     }
@@ -730,11 +638,11 @@ mod tests {
         // Probed delegates to plain.
         let a = "pub fn fire() -> u8 { compute() }\n\
                  pub fn fire_probed(sink: &mut S) -> u8 { let v = self.fire(); sink.emit(); v }";
-        assert_eq!(check_probe_twins("a.rs", a), vec![]);
+        assert_eq!(check_probe_twins(&one("a.rs", a)), vec![]);
         // Plain delegates to probed.
         let b = "pub fn run() -> u8 { run_probed(&mut NullSink) }\n\
                  pub fn run_probed<S>(sink: &mut S) -> u8 { 0 }";
-        assert_eq!(check_probe_twins("b.rs", b), vec![]);
+        assert_eq!(check_probe_twins(&one("b.rs", b)), vec![]);
     }
 
     #[test]
@@ -743,7 +651,7 @@ mod tests {
                    pub fn delivery_probed<S>(sink: &mut S) -> u8 { let v = self.delivery(); v }\n\
                    pub fn multicast() -> u8 { self.delivery() }\n\
                    pub fn multicast_probed<S>(sink: &mut S) -> u8 { self.delivery_probed(sink) }";
-        assert_eq!(check_probe_twins("dist.rs", src), vec![]);
+        assert_eq!(check_probe_twins(&one("dist.rs", src)), vec![]);
     }
 
     #[test]
@@ -755,7 +663,7 @@ pub const REPORTS: &[(usize, &str, fn())] = &[
     (4, "table1", table1::run),
 ];
 "#;
-        let findings = check_report_registry("mod.rs", src);
+        let findings = check_report_registry(&one("mod.rs", src));
         assert!(findings
             .iter()
             .any(|f| f.message.contains("position 2 holds id 3")));
@@ -772,7 +680,7 @@ pub const REPORTS: &[(usize, &str, fn())] = &[
     (2, "table3", table3::run),
 ];
 "#;
-        assert_eq!(check_report_registry("mod.rs", src), vec![]);
+        assert_eq!(check_report_registry(&one("mod.rs", src)), vec![]);
     }
 
     #[test]
@@ -793,6 +701,23 @@ pub const REPORTS: &[(usize, &str, fn())] = &[
         let doc = "Built from `src/lib.rs`; CI is `.github/workflows/ci.yml`.";
         let exists = |p: &str| p == "src/lib.rs" || p == ".github/workflows/ci.yml";
         assert_eq!(check_doc_paths("README.md", doc, &exists), vec![]);
+    }
+
+    const FAULTS: Catalog = CATALOGS[0];
+    const SPANS: Catalog = CATALOGS[1];
+    const POLICIES: Catalog = CATALOGS[2];
+
+    /// Runs check 6 for `catalog` with its enum file holding `source`,
+    /// plus the other `files`.
+    fn catalog_findings(
+        catalog: &Catalog,
+        source: &str,
+        files: &[(&str, &str)],
+        design: &str,
+    ) -> Vec<Finding> {
+        let mut all = parse(files);
+        all.push(one(catalog.file, source));
+        check_catalog(catalog, &all, design)
     }
 
     const CHAOS_FIXTURE: &str = r#"
@@ -817,20 +742,20 @@ impl FaultPoint {
 
     #[test]
     fn fault_points_swept_via_all_pass() {
-        let coverage = pairs(&[(
+        let coverage = [(
             "crates/serve/tests/chaos.rs",
             "for fault in FaultPoint::ALL { run(fault); }",
-        )]);
+        )];
         assert_eq!(
-            check_fault_points("chaos.rs", CHAOS_FIXTURE, &coverage),
+            catalog_findings(&FAULTS, CHAOS_FIXTURE, &coverage, ""),
             vec![]
         );
     }
 
     #[test]
     fn unexercised_fault_point_is_flagged() {
-        let coverage = pairs(&[("crates/serve/tests/chaos.rs", "run(FaultPoint::TornTail);")]);
-        let findings = check_fault_points("chaos.rs", CHAOS_FIXTURE, &coverage);
+        let coverage = [("crates/serve/tests/chaos.rs", "run(FaultPoint::TornTail);")];
+        let findings = catalog_findings(&FAULTS, CHAOS_FIXTURE, &coverage, "");
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("`WedgedWorker`"));
         assert!(findings[0].message.contains("not exercised"));
@@ -842,11 +767,11 @@ impl FaultPoint {
         // ALL sweep in coverage cannot reach it.
         let src =
             CHAOS_FIXTURE.replace("pub enum FaultPoint {", "pub enum FaultPoint {\n    Extra,");
-        let coverage = pairs(&[(
+        let coverage = [(
             "crates/serve/tests/chaos.rs",
             "for fault in FaultPoint::ALL { run(fault); }",
-        )]);
-        let findings = check_fault_points("chaos.rs", &src, &coverage);
+        )];
+        let findings = catalog_findings(&FAULTS, &src, &coverage, "");
         assert!(findings.iter().any(|f| f
             .message
             .contains("`Extra` is missing from `FaultPoint::ALL`")));
@@ -860,7 +785,7 @@ impl FaultPoint {
 
     #[test]
     fn missing_fault_point_enum_is_flagged() {
-        let findings = check_fault_points("chaos.rs", "pub fn nothing() {}", &[]);
+        let findings = catalog_findings(&FAULTS, "pub fn nothing() {}", &[], "");
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("no `pub enum FaultPoint`"));
     }
@@ -887,25 +812,26 @@ impl SpanKind {
 
     #[test]
     fn emitted_and_swept_span_kinds_pass() {
-        let emitters = pairs(&[(
-            "crates/serve/src/service.rs",
-            "rec(SpanKind::QueueWait); rec(SpanKind::Dispatch);",
-        )]);
-        let coverage = pairs(&[(
-            "crates/serve/tests/trace.rs",
-            "for kind in SpanKind::ALL { assert_present(kind); }",
-        )]);
-        assert_eq!(
-            check_span_kinds("span.rs", SPAN_FIXTURE, &emitters, &coverage),
-            vec![]
-        );
+        let files = [
+            (
+                "crates/serve/src/service.rs",
+                "fn f() { rec(SpanKind::QueueWait); rec(SpanKind::Dispatch); }",
+            ),
+            (
+                "crates/serve/tests/trace.rs",
+                "for kind in SpanKind::ALL { assert_present(kind); }",
+            ),
+        ];
+        assert_eq!(catalog_findings(&SPANS, SPAN_FIXTURE, &files, ""), vec![]);
     }
 
     #[test]
     fn unemitted_and_unexercised_span_kind_is_flagged() {
-        let emitters = pairs(&[("crates/serve/src/service.rs", "rec(SpanKind::QueueWait);")]);
-        let coverage = pairs(&[("crates/serve/tests/trace.rs", "has(SpanKind::QueueWait);")]);
-        let findings = check_span_kinds("span.rs", SPAN_FIXTURE, &emitters, &coverage);
+        let files = [
+            ("crates/serve/src/service.rs", "rec(SpanKind::QueueWait);"),
+            ("crates/serve/tests/trace.rs", "has(SpanKind::QueueWait);"),
+        ];
+        let findings = catalog_findings(&SPANS, SPAN_FIXTURE, &files, "");
         assert_eq!(findings.len(), 2);
         assert!(findings[0].message.contains("`Dispatch` is never emitted"));
         assert!(findings[1].message.contains("`Dispatch` is not exercised"));
@@ -913,18 +839,17 @@ impl SpanKind {
 
     #[test]
     fn snake_case_name_string_counts_as_coverage() {
-        let emitters = pairs(&[(
-            "crates/serve/src/service.rs",
-            "rec(SpanKind::QueueWait); rec(SpanKind::Dispatch);",
-        )]);
-        let coverage = pairs(&[(
-            "crates/serve/tests/trace.rs",
-            r#"assert!(log.contains("queue_wait") && log.contains("dispatch"));"#,
-        )]);
-        assert_eq!(
-            check_span_kinds("span.rs", SPAN_FIXTURE, &emitters, &coverage),
-            vec![]
-        );
+        let files = [
+            (
+                "crates/serve/src/service.rs",
+                "rec(SpanKind::QueueWait); rec(SpanKind::Dispatch);",
+            ),
+            (
+                "crates/serve/tests/trace.rs",
+                r#"assert!(log.contains("queue_wait") && log.contains("dispatch"));"#,
+            ),
+        ];
+        assert_eq!(catalog_findings(&SPANS, SPAN_FIXTURE, &files, ""), vec![]);
     }
 
     #[test]
@@ -932,15 +857,17 @@ impl SpanKind {
         // `Extra` exists but is neither in ALL nor named, so the ALL
         // sweep in coverage cannot reach it.
         let src = SPAN_FIXTURE.replace("pub enum SpanKind {", "pub enum SpanKind {\n    Extra,");
-        let emitters = pairs(&[(
-            "crates/serve/src/service.rs",
-            "rec(SpanKind::QueueWait); rec(SpanKind::Dispatch); rec(SpanKind::Extra);",
-        )]);
-        let coverage = pairs(&[(
-            "crates/serve/tests/trace.rs",
-            "for kind in SpanKind::ALL { assert_present(kind); }",
-        )]);
-        let findings = check_span_kinds("span.rs", &src, &emitters, &coverage);
+        let files = [
+            (
+                "crates/serve/src/service.rs",
+                "rec(SpanKind::QueueWait); rec(SpanKind::Dispatch); rec(SpanKind::Extra);",
+            ),
+            (
+                "crates/serve/tests/trace.rs",
+                "for kind in SpanKind::ALL { assert_present(kind); }",
+            ),
+        ];
+        let findings = catalog_findings(&SPANS, &src, &files, "");
         assert!(findings.iter().any(|f| f
             .message
             .contains("`Extra` is missing from `SpanKind::ALL`")));
@@ -954,9 +881,27 @@ impl SpanKind {
 
     #[test]
     fn missing_span_kind_enum_is_flagged() {
-        let findings = check_span_kinds("span.rs", "pub fn nothing() {}", &[], &[]);
+        let findings = catalog_findings(&SPANS, "pub fn nothing() {}", &[], "");
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("no `pub enum SpanKind`"));
+    }
+
+    #[test]
+    fn span_kind_named_only_in_a_comment_or_test_is_not_emitted() {
+        let files = [
+            (
+                "crates/serve/src/service.rs",
+                "// rec(SpanKind::Dispatch);\nfn f() { rec(SpanKind::QueueWait); }\n\
+                 #[cfg(test)]\nmod tests { fn t() { rec(SpanKind::Dispatch); } }",
+            ),
+            (
+                "crates/serve/tests/trace.rs",
+                "for kind in SpanKind::ALL { assert_present(kind); }",
+            ),
+        ];
+        let findings = catalog_findings(&SPANS, SPAN_FIXTURE, &files, "");
+        assert_eq!(findings.len(), 1);
+        assert!(findings[0].message.contains("`Dispatch` is never emitted"));
     }
 
     const PLACEMENT_FIXTURE: &str = r#"
@@ -981,26 +926,25 @@ impl PlacementPolicy {
 
     #[test]
     fn swept_and_documented_placement_policies_pass() {
-        let coverage = pairs(&[(
+        let coverage = [(
             "crates/fleet/tests/fleet_scheduling.rs",
             "for policy in PlacementPolicy::ALL { simulate(policy); }",
-        )]);
+        )];
         let design = "Policies: `homogeneous_maeri` baseline, `greedy` best-backend.";
         assert_eq!(
-            check_placement_policies("placement.rs", PLACEMENT_FIXTURE, &coverage, design),
+            catalog_findings(&POLICIES, PLACEMENT_FIXTURE, &coverage, design),
             vec![]
         );
     }
 
     #[test]
     fn unexercised_and_undocumented_placement_policy_is_flagged() {
-        let coverage = pairs(&[(
+        let coverage = [(
             "crates/fleet/tests/fleet_scheduling.rs",
             "simulate(PlacementPolicy::HomogeneousMaeri);",
-        )]);
+        )];
         let design = "Policies: `homogeneous_maeri` baseline.";
-        let findings =
-            check_placement_policies("placement.rs", PLACEMENT_FIXTURE, &coverage, design);
+        let findings = catalog_findings(&POLICIES, PLACEMENT_FIXTURE, &coverage, design);
         assert_eq!(findings.len(), 2);
         assert!(findings[0].message.contains("`Greedy` is not exercised"));
         assert!(findings[1]
@@ -1016,12 +960,12 @@ impl PlacementPolicy {
             "pub enum PlacementPolicy {",
             "pub enum PlacementPolicy {\n    Extra,",
         );
-        let coverage = pairs(&[(
+        let coverage = [(
             "crates/fleet/tests/fleet_scheduling.rs",
             "for policy in PlacementPolicy::ALL { simulate(policy); }",
-        )]);
+        )];
         let design = "Policies: `homogeneous_maeri`, `greedy`, `extra`.";
-        let findings = check_placement_policies("placement.rs", &src, &coverage, design);
+        let findings = catalog_findings(&POLICIES, &src, &coverage, design);
         assert!(findings.iter().any(|f| f
             .message
             .contains("`Extra` is missing from `PlacementPolicy::ALL`")));
@@ -1035,7 +979,7 @@ impl PlacementPolicy {
 
     #[test]
     fn missing_placement_policy_enum_is_flagged() {
-        let findings = check_placement_policies("placement.rs", "pub fn nothing() {}", &[], "");
+        let findings = catalog_findings(&POLICIES, "pub fn nothing() {}", &[], "");
         assert_eq!(findings.len(), 1);
         assert!(findings[0]
             .message
@@ -1043,14 +987,70 @@ impl PlacementPolicy {
     }
 
     #[test]
+    fn missing_catalog_file_is_flagged() {
+        let findings = check_catalog(&FAULTS, &[], "");
+        assert_eq!(findings.len(), 1);
+        assert!(findings[0].message.contains("catalog module is missing"));
+    }
+
+    #[test]
     fn missing_forbid_header_is_flagged() {
         assert_eq!(
-            check_forbid_unsafe("lib.rs", "//! docs\npub fn f() {}").len(),
+            check_forbid_unsafe(&one("lib.rs", "//! docs\npub fn f() {}")).len(),
             1
         );
         assert_eq!(
-            check_forbid_unsafe("lib.rs", "#![forbid(unsafe_code)]\npub fn f() {}"),
+            check_forbid_unsafe(&one("lib.rs", "#![forbid(unsafe_code)]\npub fn f() {}")),
             vec![]
         );
+    }
+
+    fn repo_root() -> std::path::PathBuf {
+        crate::workspace_root().expect("crates/xtask sits two levels below the workspace root")
+    }
+
+    /// The gate itself, asserted from a test so `cargo test` alone
+    /// proves `cargo run -p xtask -- lint` passes on the real tree.
+    #[test]
+    fn workspace_lints_clean() {
+        let report = lint_workspace(&repo_root()).expect("workspace walk succeeds");
+        for f in &report.findings {
+            eprintln!("lint finding: {}: {}", f.path, f.message);
+        }
+        assert_eq!(report.findings, vec![]);
+        assert!(report.files > 100, "only {} files checked", report.files);
+    }
+
+    /// Each real catalog still fails when a variant is planted in its
+    /// enum but left out of `ALL`.
+    #[test]
+    fn planted_variant_fails_every_real_catalog() {
+        let root = repo_root();
+        let mut files = parse_trees(&root, SOURCE_TREES).expect("walk");
+        files.extend(parse_trees(&root, TEST_TREES).expect("walk"));
+        let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+        for catalog in &CATALOGS {
+            let planted: Vec<FileAst> = files
+                .iter()
+                .map(|f| {
+                    if f.path == catalog.file {
+                        let decl = format!("pub enum {} {{", catalog.enum_name);
+                        let source = f.source.replace(&decl, &format!("{decl}\n    Planted,"));
+                        FileAst::parse(&f.path, &source)
+                    } else {
+                        f.clone()
+                    }
+                })
+                .collect();
+            assert_eq!(check_catalog(catalog, &files, &design), vec![]);
+            let missing = format!("`Planted` is missing from `{}::ALL`", catalog.enum_name);
+            assert!(
+                check_catalog(catalog, &planted, &design)
+                    .iter()
+                    .any(|f| f.message.contains(&missing)),
+                "{} accepted a variant left out of ALL",
+                catalog.enum_name
+            );
+        }
     }
 }
